@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gvfs-bench [-exp all|fig4|fig5|fig6|fig7|fig8|lanov|ablate|meta|sched|hotpath|slo]
+//	gvfs-bench [-exp all|fig4|fig5|fig6|fig7|fig8|lanov|ablate|meta|hotpath|slo|restart]
 //	           [-scale N] [-q] [-metrics-out file] [-json-out file] [-trace-out file]
 //
 // Scale 1 is the paper's full workload size; larger values shrink the
@@ -27,11 +27,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig4, fig5, fig6, fig7, fig8, lanov, ablate, meta, sched, hotpath, slo, restart")
+	exp := flag.String("exp", "all", "experiment to run: all, fig4, fig5, fig6, fig7, fig8, lanov, ablate, meta, hotpath, slo, restart")
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor (1 = paper scale)")
 	quiet := flag.Bool("q", false, "suppress per-setup progress lines")
 	metricsOut := flag.String("metrics-out", "", "write per-deployment metrics dumps to this file (- for stderr)")
-	jsonOut := flag.String("json-out", "", "write the machine-readable result of JSON-capable experiments (meta, sched, hotpath, slo, restart) to this file")
+	jsonOut := flag.String("json-out", "", "write the machine-readable result of JSON-capable experiments (meta, hotpath, slo, restart) to this file")
 	traceOut := flag.String("trace-out", "", "write a JSON trace dump from trace-capable experiments (slo) to this file, for gvfs-trace")
 	flag.Parse()
 
@@ -179,25 +179,6 @@ func run(w io.Writer, exp string, scale int, quiet bool, metricsOut, jsonOut, tr
 			}
 			r.Render(w)
 			if jsonOut != "" && exp == "restart" {
-				f, err := os.Create(jsonOut)
-				if err != nil {
-					return fmt.Errorf("create %s: %w", jsonOut, err)
-				}
-				defer f.Close()
-				if err := r.WriteJSON(f); err != nil {
-					return fmt.Errorf("write %s: %w", jsonOut, err)
-				}
-				fmt.Fprintf(w, "json: %s\n", jsonOut)
-			}
-			return nil
-		}},
-		{"sched", func() error {
-			r, err := bench.RunSched(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			if jsonOut != "" && exp == "sched" {
 				f, err := os.Create(jsonOut)
 				if err != nil {
 					return fmt.Errorf("create %s: %w", jsonOut, err)

@@ -41,21 +41,20 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU()*4, "callback-service worker-pool size (0 = unbounded legacy spawn)")
 	queueDepth := flag.Int("queue-depth", 0, "callback-service queue bound (0 = scheduler default)")
 	diskDir := flag.String("disk-cache-dir", "", "directory for the crash-consistent persistent block cache (empty = in-memory only); a restart on the same directory recovers the cache")
-	diskBytes := flag.Int64("disk-cache-bytes", 0, "clean-block byte budget of the persistent cache (0 = the in-memory cache budget)")
 	diskSync := flag.String("disk-cache-sync", "dirty", "persistent-cache journal sync policy: dirty (fsync dirty-state transitions), always, none")
 	flag.Parse()
 
-	if err := run(*listen, *cbListen, *cbAddr, *upstream, *model, *id, *session, *writeback, *poll, *metrics, *workers, *queueDepth, *diskDir, *diskBytes, *diskSync); err != nil {
+	if err := run(*listen, *cbListen, *cbAddr, *upstream, *model, *id, *session, *writeback, *poll, *metrics, *workers, *queueDepth, *diskDir, *diskSync); err != nil {
 		fmt.Fprintln(os.Stderr, "gvfs-proxyc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, cbListen, cbAddr, upstream, model, id, session string, writeback bool, poll time.Duration, metrics string, workers, queueDepth int, diskDir string, diskBytes int64, diskSync string) error {
+func run(listen, cbListen, cbAddr, upstream, model, id, session string, writeback bool, poll time.Duration, metrics string, workers, queueDepth int, diskDir, diskSync string) error {
 	cfg := core.Config{
 		PollPeriod: poll, WriteBack: writeback,
 		ServerWorkers: workers, ServerQueueDepth: queueDepth,
-		DiskCacheDir: diskDir, DiskCacheBytes: diskBytes, DiskCacheSyncPolicy: diskSync,
+		DiskCacheDir: diskDir, DiskCacheSyncPolicy: diskSync,
 	}
 	switch model {
 	case "polling":

@@ -165,8 +165,7 @@ func newSessionCache(blockSize int, maxBytes int64) *sessionCache {
 }
 
 // setMetaPolicy installs the session's metadata cache policy, clock, and
-// event counters. The proxy calls it at construction and again when it
-// adopts a surviving disk cache, whose previous owner's policy dies with it.
+// event counters. The proxy calls it once, at construction.
 func (sc *sessionCache) setMetaPolicy(now func() time.Duration, pol metaPolicy, met *metaCounters) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -888,21 +887,6 @@ func (sc *sessionCache) fetchInFlight(fh nfs3.FH, bn uint64) bool {
 	defer sc.mu.Unlock()
 	fc, ok := sc.files[fh.Key()]
 	return ok && fc.fetching[bn]
-}
-
-// clearInFlight drops all in-flight marks; called when a restarted proxy
-// adopts a surviving disk cache whose previous owner's RPCs died with it.
-func (sc *sessionCache) clearInFlight() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for _, fc := range sc.files {
-		for bn := range fc.flushing {
-			delete(fc.flushing, bn)
-		}
-		for bn := range fc.fetching {
-			delete(fc.fetching, bn)
-		}
-	}
 }
 
 // flushed marks a dirty block clean after its WRITE succeeded, adopting the

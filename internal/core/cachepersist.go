@@ -19,20 +19,11 @@ type blockPersister interface {
 }
 
 // recoveryCounters receives the revalidated-vs-refetched verdicts for
-// recovered clean blocks; either field (or the struct) may be nil.
+// recovered clean blocks; the cache's pointer is nil when persistence is
+// off.
 type recoveryCounters struct {
 	revalidated *obs.Counter
 	refetched   *obs.Counter
-}
-
-// setPersister installs (or replaces) the cache's disk mirror and the
-// recovery counters. The caller is responsible for having resynchronized
-// the store to this cache's contents first (Store.ResetTo).
-func (sc *sessionCache) setPersister(p blockPersister, met *recoveryCounters) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.persist = p
-	sc.recMet = met
 }
 
 // persistMetaLocked mirrors the file's identity attributes; the store
@@ -80,34 +71,10 @@ func (sc *sessionCache) adoptRecovered(files map[string]*diskcache.FileState) {
 			sc.recovered[key] = true
 		}
 	}
-	// Recovered state can exceed this incarnation's memory budget; evict
-	// before the persister attaches so the disk mirror resync (ResetTo on
-	// the snapshot below) also drops what memory could not hold.
+	// Recovered state can exceed this incarnation's memory budget. The
+	// persister is already attached, so each eviction also drops the
+	// block from disk: the store keeps exactly what memory kept.
 	sc.evictLocked()
-}
-
-// persistSnapshot captures the cache's block state in the disk store's
-// vocabulary, for Store.ResetTo. Block slices are aliased, not copied: the
-// caller uses the snapshot synchronously, before the cache serves traffic.
-func (sc *sessionCache) persistSnapshot() map[string]*diskcache.FileState {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	out := make(map[string]*diskcache.FileState, len(sc.files))
-	for key, fc := range sc.files {
-		if len(fc.blocks) == 0 {
-			continue
-		}
-		fs := &diskcache.FileState{
-			MtimeSec: fc.mtime.Sec, MtimeNsec: fc.mtime.Nsec,
-			Size: fc.size, LocalChange: fc.localChange,
-			Blocks: make(map[uint64]*diskcache.BlockState, len(fc.blocks)),
-		}
-		for bn, data := range fc.blocks {
-			fs.Blocks[bn] = &diskcache.BlockState{Data: data, Dirty: fc.dirty[bn], Gen: fc.dirtyGen[bn]}
-		}
-		out[key] = fs
-	}
-	return out
 }
 
 // openDiskCache opens (or recovers) the persistent block store under
@@ -122,12 +89,20 @@ func (p *ProxyClient) openDiskCache() {
 		p.met.diskCacheErrors.Inc()
 		return
 	}
-	st, rec, err := diskcache.Open(p.cfg.DiskCacheDir, p.cfg.DiskCacheBytes, pol)
+	st, rec, err := diskcache.Open(p.cfg.DiskCacheDir, p.cfg.CacheBytes, pol)
 	if err != nil {
 		p.met.diskCacheErrors.Inc()
 		return
 	}
 	p.disk = st
+	// Attach before adopting: adoption's budget evictions then reach the
+	// store through the normal DropBlock hook. Nothing else can touch the
+	// cache yet, so setting the fields without sc.mu is safe.
+	p.cache.persist = st
+	p.cache.recMet = &recoveryCounters{
+		revalidated: p.met.revalidatedBlks,
+		refetched:   p.met.refetchedBlks,
+	}
 	if len(rec.Files) > 0 {
 		p.cache.adoptRecovered(rec.Files)
 	}
@@ -135,18 +110,6 @@ func (p *ProxyClient) openDiskCache() {
 	p.met.recoveredDirty.Add(int64(rec.Stats.DirtyBlocks))
 	p.met.recoveryDropped.Add(int64(rec.Stats.Dropped))
 	p.met.recoveryReplayNs.Set(rec.Stats.Replay.Nanoseconds())
-	// Memory-budget evictions during adoption may have dropped blocks the
-	// disk still holds; resync the mirror to what memory kept, then attach.
-	st.ResetTo(p.cache.persistSnapshot())
-	p.attachPersister()
-}
-
-// attachPersister points the current session cache at the open disk store.
-func (p *ProxyClient) attachPersister() {
-	p.cache.setPersister(p.disk, &recoveryCounters{
-		revalidated: p.met.revalidatedBlks,
-		refetched:   p.met.refetchedBlks,
-	})
 }
 
 // DiskStore exposes the persistent store (nil when persistence is off), for
@@ -175,10 +138,8 @@ func (sc *sessionCache) noteRecoveredLocked(key string, fc *cachedFile, serverMt
 		return
 	}
 	if fc.mtime == serverMtime {
-		if sc.recMet.revalidated != nil {
-			sc.recMet.revalidated.Add(clean)
-		}
-	} else if sc.recMet.refetched != nil {
+		sc.recMet.revalidated.Add(clean)
+	} else {
 		sc.recMet.refetched.Add(clean)
 	}
 }

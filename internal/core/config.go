@@ -116,9 +116,6 @@ type Config struct {
 	// refetched and dirty write-delegated blocks re-enter the write-back
 	// pipeline. Empty (the default) keeps the cache purely in memory.
 	DiskCacheDir string
-	// DiskCacheBytes bounds the clean-block bytes persisted on disk; dirty
-	// data is never dropped for space. 0 inherits CacheBytes.
-	DiskCacheBytes int64
 	// DiskCacheSyncPolicy selects the store's fsync policy: "dirty"
 	// (default — sync on dirty-state transitions), "always", or "none".
 	DiskCacheSyncPolicy string
@@ -296,9 +293,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 4 << 30
-	}
-	if c.DiskCacheBytes == 0 {
-		c.DiskCacheBytes = c.CacheBytes
 	}
 	if c.FlushInterval == 0 {
 		c.FlushInterval = 30 * time.Second

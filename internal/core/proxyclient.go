@@ -339,38 +339,6 @@ func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) 
 	}
 }
 
-// AdoptCache installs a previously used disk cache, modeling the on-disk
-// cache that survives a proxy-client crash (Section 4.3.4). Must be called
-// before Start.
-func (p *ProxyClient) AdoptCache(c *SessionCacheState) {
-	if c != nil && c.cache != nil {
-		p.cache = c.cache
-		p.cache.bs = p.cfg.BlockSize
-		p.cache.setMetaPolicy(p.clk.Now, p.cfg.metaPolicy(), p.met.metaCounters())
-		// The previous owner's in-flight WRITEs and prefetch READs died with
-		// its process; stale marks would wedge flushing forever.
-		p.cache.clearInFlight()
-		// The adopted in-memory cache supersedes whatever openDiskCache
-		// recovered into the cache it replaced: resync the disk mirror to
-		// the adopted contents and attach it. The adopted cache's old
-		// persister (the crashed incarnation's store, abandoned on Crash)
-		// is displaced here.
-		if p.disk != nil {
-			p.disk.ResetTo(p.cache.persistSnapshot())
-			p.attachPersister()
-		}
-	}
-}
-
-// SessionCacheState is an opaque handle to the session's disk cache
-// contents, used to persist them across proxy restarts.
-type SessionCacheState struct{ cache *sessionCache }
-
-// CacheState exports the disk cache for a later AdoptCache.
-func (p *ProxyClient) CacheState() *SessionCacheState {
-	return &SessionCacheState{cache: p.cache}
-}
-
 // Serve starts serving kernel NFS traffic on nfsListener and GVFS callbacks
 // on cbListener, and launches the session's maintenance actors.
 func (p *ProxyClient) Serve(nfsListener, cbListener transport.Listener) {
@@ -431,8 +399,9 @@ func (p *ProxyClient) Stop() {
 }
 
 // Crash models an abrupt proxy-client failure: connections drop and no
-// dirty data is flushed. The disk cache object survives (it is "on disk");
-// recover with AdoptCache + RecoverAfterCrash on a new instance.
+// dirty data is flushed. Only the disk store's journal survives; a new
+// instance opened on the same DiskCacheDir recovers from it, and its
+// RecoverAfterCrash writes the surviving dirty blocks back.
 func (p *ProxyClient) Crash() {
 	p.mu.Lock()
 	p.stopped = true

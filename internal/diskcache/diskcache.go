@@ -635,55 +635,6 @@ func (s *Store) setFileMetaLocked(key string, mtimeSec, mtimeNsec uint32, size u
 	fm.localChange = localChange
 }
 
-// ResetTo resynchronizes the mirror with an authoritative cache snapshot:
-// blocks missing from the snapshot are dropped, blocks whose bytes already
-// match (generation, length, CRC) keep their files, everything else is
-// rewritten. The proxy uses it when it adopts an in-memory cache that this
-// store did not observe being built (AdoptCache after a warm restart).
-func (s *Store) ResetTo(files map[string]*FileState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ok() {
-		return
-	}
-	for key, fm := range s.files {
-		want := files[key]
-		for bn := range fm.blocks {
-			if want == nil || want.Blocks[bn] == nil {
-				s.dropBlockLocked(key, bn)
-			}
-		}
-	}
-	// Dirty blocks first: the clean-byte budget must never squeeze them out.
-	keys := make([]string, 0, len(files))
-	for key := range files {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, pass := range []bool{true, false} {
-		for _, key := range keys {
-			fs := files[key]
-			for bn, b := range fs.Blocks {
-				if b.Dirty != pass {
-					continue
-				}
-				if fm := s.files[key]; fm != nil {
-					if bm, ok := fm.blocks[bn]; ok && bm.gen == b.Gen && bm.dirty == b.Dirty &&
-						bm.dlen == uint32(len(b.Data)) && bm.dcrc == crc32.ChecksumIEEE(b.Data) {
-						continue
-					}
-				}
-				s.putBlockLocked(key, bn, b.Data, b.Dirty, b.Gen)
-			}
-		}
-	}
-	for _, key := range keys {
-		fs := files[key]
-		s.setFileMetaLocked(key, fs.MtimeSec, fs.MtimeNsec, fs.Size, fs.LocalChange)
-	}
-	s.failLocked(s.checkpointLocked())
-}
-
 // Checkpoint forces a manifest compaction.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()

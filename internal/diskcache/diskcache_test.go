@@ -2,6 +2,7 @@ package diskcache
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -255,38 +256,26 @@ func TestBudgetSkipDropsStaleCopy(t *testing.T) {
 	}
 }
 
-func TestResetToResyncsMirror(t *testing.T) {
+// TestJournalFrameGolden pins the on-disk bytes of one journal record: a
+// big-endian [u32 len][u32 CRC-32 (IEEE) of payload] header, then the put
+// payload [op][u16 keyLen][key][bn u64][gen u64][dirty u8][dataLen u32]
+// [data CRC-32 u32]. Changing the checksum polynomial or any field width
+// breaks every existing cache directory, so it must show up here.
+func TestJournalFrameGolden(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, 0)
-	s.PutBlock("gone", 0, []byte("stale"), false, 0)
-	s.PutBlock("kept", 0, []byte("same-bytes"), false, 0)
-	s.SetFileMeta("kept", 1, 2, 10, 0)
-	before := blockFiles(dir)
-
-	s.ResetTo(map[string]*FileState{
-		"kept": {MtimeSec: 1, MtimeNsec: 2, Size: 10, Blocks: map[uint64]*BlockState{
-			0: {Data: []byte("same-bytes")},
-		}},
-		"new": {MtimeSec: 9, Size: 5, Blocks: map[uint64]*BlockState{
-			2: {Data: []byte("fresh"), Dirty: true, Gen: 4},
-		}},
-	})
-	after := blockFiles(dir)
-	if len(after) != 2 {
-		t.Fatalf("block files after reset = %v (before %v)", after, before)
+	s.PutBlock("k1", 7, []byte("abc"), true, 3)
+	got, err := os.ReadFile(filepath.Join(dir, journalName))
+	s.Abandon()
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
 	}
-	s.Close()
-
-	s2, rec := openT(t, dir, 0)
-	defer s2.Close()
-	if _, ok := rec.Files["gone"]; ok {
-		t.Fatal("ResetTo kept a file absent from the snapshot")
-	}
-	if b := rec.Files["kept"].Blocks[0]; b == nil || !bytes.Equal(b.Data, []byte("same-bytes")) {
-		t.Fatalf("kept block = %+v", b)
-	}
-	if b := rec.Files["new"].Blocks[2]; b == nil || !b.Dirty || b.Gen != 4 || !bytes.Equal(b.Data, []byte("fresh")) {
-		t.Fatalf("new block = %+v", b)
+	want, _ := hex.DecodeString("0000001e" + "acb288ac" + // len 30, frame CRC
+		"01" + "0002" + "6b31" + // opPut, key "k1"
+		"0000000000000007" + "0000000000000003" + "01" + // bn 7, gen 3, dirty
+		"00000003" + "352441c2") // dataLen 3, CRC-32("abc")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal frame\n got %x\nwant %x", got, want)
 	}
 }
 
