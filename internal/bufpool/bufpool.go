@@ -7,8 +7,10 @@
 //     caller must overwrite every byte it reads back.
 //   - Put(b) recycles a slice. Only the goroutine that owns the buffer may
 //     Put it, exactly once, after which no alias of it may be touched.
-//   - Buffers that become cache-resident (proxy/kern block caches) or that are
-//     handed to a peer (client-received frames, DRC reply copies) are never
+//   - Every received frame is Put by its receiver: the RPC server once the
+//     request is terminal, the RPC client once it has copied the reply body
+//     into a slice the caller owns.
+//   - Buffers that become cache-resident (proxy/kern block caches) are never
 //     Put — losing a buffer to the GC is always safe; double-recycling never is.
 //
 // Pools can be disabled (SetEnabled(false)) so benchmarks can measure the
@@ -58,8 +60,8 @@ func classFor(n int) int {
 // outstanding tracks class-eligible buffers handed out by Get and not yet
 // returned by Put — the leak detector for the ownership rules above. Buffers
 // that legitimately become cache-resident keep the count up; a steady-state
-// loop that neither grows a cache nor hands frames to a peer must leave it
-// unchanged (the hot-path bench asserts exactly that).
+// loop that does not grow a cache must leave it unchanged (the hot-path bench
+// and the sunrpc loopback test assert exactly that).
 var outstanding atomic.Int64
 
 // Outstanding reports the number of pool-owned buffers currently checked
@@ -130,7 +132,8 @@ func GetEncoder() *xdr.Encoder {
 }
 
 // PutEncoder recycles an encoder. The caller must not retain e.Bytes() —
-// copy anything that outlives the encoder (the DRC does exactly this).
+// copy anything that outlives the encoder (the DRC does exactly this for the
+// replies it keeps).
 func PutEncoder(e *xdr.Encoder) {
 	if e == nil || !enabled.Load() {
 		return

@@ -289,7 +289,12 @@ func (p *ProxyClient) reconnect(old *sunrpc.Client) bool {
 	current := p.up
 	p.mu.Unlock()
 	if current != old {
-		return true // raced with another reconnect
+		// Another actor already redialed: this call most likely failed
+		// because that actor closed the old client, at this same instant.
+		// Let the redialing actor retry first, so the two retries reach
+		// the new connection in the same order in every same-seed run.
+		p.clk.Yield()
+		return true
 	}
 	nu, err := p.redial()
 	if err != nil {
@@ -1018,18 +1023,12 @@ func (p *ProxyClient) hitForward(call *sunrpc.Call) {
 
 func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	// Forward MOUNT verbatim: the root handle comes from the real server.
-	raw, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, remainingBytes(call.Args))
+	raw, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.RestRef())
 	if err != nil {
 		return sunrpc.SystemErr
 	}
-	call.Reply.FixedOpaque(remainingBytes(raw))
+	call.Reply.FixedOpaque(raw.RestRef())
 	return sunrpc.Success
-}
-
-// remainingBytes drains a decoder's unread bytes.
-func remainingBytes(d *xdr.Decoder) []byte {
-	b, _ := d.FixedOpaque(d.Remaining())
-	return b
 }
 
 // ServeCall executes one NFSv3 call against the proxy exactly as the RPC
@@ -1052,6 +1051,10 @@ func (p *ProxyClient) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	// has no tracer installed): announce that here so handlers compute their
 	// span labels exactly when a retained record will carry them.
 	call.Traced = p.node.Tracing()
+	// A pure read re-executes harmlessly, so its reply skips the kernel-facing
+	// DRC. The WAN-facing proxy server marks nothing: its READ and GETATTR
+	// replies carry delegation grants, which a retransmission must replay.
+	call.Idempotent = nfs3.Idempotent(call.Proc)
 	if !call.Traced {
 		return p.serveNFS(call)
 	}
@@ -1885,12 +1888,12 @@ func (p *ProxyClient) access(call *sunrpc.Call) sunrpc.AcceptStat {
 
 // passthrough forwards a call without caching semantics.
 func (p *ProxyClient) passthrough(call *sunrpc.Call) sunrpc.AcceptStat {
-	raw, err := p.rawCall(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, remainingBytes(call.Args))
+	raw, err := p.rawCall(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, call.Args.RestRef())
 	if err != nil {
 		return sunrpc.SystemErr
 	}
 	p.hitForward(call)
-	call.Reply.FixedOpaque(remainingBytes(raw))
+	call.Reply.FixedOpaque(raw.RestRef())
 	return sunrpc.Success
 }
 

@@ -37,11 +37,11 @@ type callInfo struct {
 // forwardRaw relays a program verbatim (MOUNT).
 func (s *ProxyServer) forwardRaw(prog, vers uint32) sunrpc.DispatchFunc {
 	return func(call *sunrpc.Call) sunrpc.AcceptStat {
-		d, err := s.up.CallTraced(call.ReqID, prog, vers, call.Proc, remainingBytes(call.Args), s.cfg.CallTimeout)
+		d, err := s.up.CallTraced(call.ReqID, prog, vers, call.Proc, call.Args.RestRef(), s.cfg.CallTimeout)
 		if err != nil {
 			return sunrpc.SystemErr
 		}
-		call.Reply.FixedOpaque(remainingBytes(d))
+		call.Reply.FixedOpaque(d.RestRef())
 		return sunrpc.Success
 	}
 }
@@ -58,7 +58,7 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	call.Yield(s.waitGrace)
 	client := s.ensureClient(call.Cred)
 
-	argBytes := remainingBytes(call.Args)
+	argBytes := call.Args.RestRef()
 	info, ok := s.inspect(call.ReqID, call.Proc, argBytes)
 	if !ok {
 		return sunrpc.GarbageArgs
@@ -101,7 +101,7 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	if err != nil {
 		return sunrpc.SystemErr
 	}
-	replyBytes := remainingBytes(d)
+	replyBytes := d.RestRef()
 
 	status := replyStatus(replyBytes)
 	if status == nfs3.OK {

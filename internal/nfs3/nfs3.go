@@ -46,6 +46,31 @@ const (
 	ProcCommit      = 21
 )
 
+// idempotent lists the procedures a server may safely execute twice: each
+// only reads server state, so a retransmission re-executed from scratch
+// returns an equally valid reply. Everything else — WRITE, COMMIT and every
+// namespace or attribute mutation — must be replayed from the
+// duplicate-request cache instead.
+var idempotent = [...]bool{
+	ProcNull:        true,
+	ProcGetattr:     true,
+	ProcLookup:      true,
+	ProcAccess:      true,
+	ProcReadlink:    true,
+	ProcRead:        true,
+	ProcReaddir:     true,
+	ProcReaddirplus: true,
+	ProcFsstat:      true,
+	ProcFsinfo:      true,
+	ProcPathconf:    true,
+}
+
+// Idempotent reports whether re-executing proc is harmless, which is what
+// lets a server skip caching its reply (sunrpc.Call.Idempotent).
+func Idempotent(proc uint32) bool {
+	return int(proc) < len(idempotent) && idempotent[proc]
+}
+
 // ProcName returns the conventional name of an NFSv3 procedure, for
 // reporting RPC counts the way the paper's figures do.
 func ProcName(proc uint32) string {

@@ -152,6 +152,26 @@ func TestProcNames(t *testing.T) {
 	}
 }
 
+// TestIdempotentProcedures pins the procedures servers may re-execute
+// instead of replaying from the duplicate-request cache: exactly the pure
+// reads. Every mutation, and COMMIT, must stay replayed.
+func TestIdempotentProcedures(t *testing.T) {
+	want := map[uint32]bool{
+		ProcNull: true, ProcGetattr: true, ProcLookup: true, ProcAccess: true,
+		ProcReadlink: true, ProcRead: true, ProcReaddir: true,
+		ProcReaddirplus: true, ProcFsstat: true, ProcFsinfo: true,
+		ProcPathconf: true,
+	}
+	for proc := uint32(0); proc <= ProcCommit+2; proc++ {
+		if got := Idempotent(proc); got != want[proc] {
+			t.Errorf("Idempotent(%s) = %v, want %v", ProcName(proc), got, want[proc])
+		}
+	}
+	if Idempotent(^uint32(0)) {
+		t.Error("an out-of-range procedure is marked idempotent")
+	}
+}
+
 func TestAttrSame(t *testing.T) {
 	a := sampleAttr()
 	b := a

@@ -61,6 +61,7 @@ func (s *Server) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 }
 
 func (s *Server) dispatch(call *sunrpc.Call) sunrpc.AcceptStat {
+	call.Idempotent = nfs3.Idempotent(call.Proc)
 	switch call.Proc {
 	case nfs3.ProcNull:
 		return sunrpc.Success

@@ -447,8 +447,7 @@ func (c *conn) Send(msg []byte) error {
 	n.mu.Unlock()
 
 	// The in-flight copy comes from the frame pool; ownership transfers to
-	// the receiver at inbox.Put, and the server side recycles it once the
-	// request is terminal (client-received frames are never recycled).
+	// the receiver at inbox.Put, and the receiver recycles it.
 	buf := bufpool.Get(len(msg))
 	copy(buf, msg)
 	peer := c.peer

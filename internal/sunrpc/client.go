@@ -431,11 +431,15 @@ func (c *Client) demux() {
 			return
 		}
 		m, err := parseMsg(raw)
+		if err == nil && m.mtype == msgReply && m.acceptStat == Success {
+			// The caller gets the results in an exact-size slice of its own,
+			// so the frame goes straight back to the pool and nothing the
+			// caller decodes — aliases included — can be clobbered by reuse.
+			m.body.Reset(append([]byte(nil), m.body.RestRef()...))
+		}
+		bufpool.Put(raw)
 		if err != nil || m.mtype != msgReply {
-			// Garbage or a stray call on a client connection: the frame was
-			// never handed to a caller, so ownership stays here — recycle.
-			bufpool.Put(raw)
-			continue
+			continue // garbage or a stray call on a client connection
 		}
 		c.mu.Lock()
 		pc, ok := c.pending[m.xid]
@@ -447,10 +451,10 @@ func (c *Client) demux() {
 			pc.shed++
 			c.mu.Unlock()
 			c.metShedRetries.Inc()
-			// The shed reply carried no body anyone retained; recycle it.
-			bufpool.Put(raw)
 			continue
 		}
+		// A reply with no pending call is a duplicate (retransmitted XID
+		// already completed) or very late; it is simply dropped.
 		var w *vclock.Waiter
 		if ok {
 			delete(c.pending, m.xid)
@@ -462,12 +466,6 @@ func (c *Client) demux() {
 		c.mu.Unlock()
 		if w != nil {
 			w.Wake()
-		} else if !ok {
-			// A duplicate (retransmitted XID already completed) or very late
-			// reply: no pending call will ever read this frame — recycle.
-			// Completed replies (ok) are exempt: pc.body aliases raw and the
-			// caller's decoder may hold references into it.
-			bufpool.Put(raw)
 		}
 	}
 }

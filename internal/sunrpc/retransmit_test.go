@@ -65,10 +65,19 @@ func (f *faultyConn) Recv() ([]byte, error) {
 	}
 }
 
+// Echo procedures the replay handler marks Idempotent; the slow one holds
+// the call in progress for slowEchoDelay before replying.
+const (
+	procEchoIdempotent     = 10
+	procSlowEchoIdempotent = 11
+	slowEchoDelay          = 200 * time.Millisecond
+)
+
 // replaySim builds a server and client over a 10ms-RTT link with the client's
 // traffic routed through a faultyConn, a counting echo handler, observability
 // on both ends, and a fast deterministic retransmission policy (50ms initial,
-// no jitter).
+// no jitter). procEcho is an ordinary (replayed) call; procEchoIdempotent and
+// procSlowEchoIdempotent are echoes the handler marks Idempotent.
 func replaySim(t *testing.T) (*vclock.Clock, *obs.Obs, *Client, *faultyConn, *int, func()) {
 	t.Helper()
 	clk := vclock.NewVirtual()
@@ -80,7 +89,14 @@ func replaySim(t *testing.T) (*vclock.Clock, *obs.Obs, *Client, *faultyConn, *in
 	execs := new(int)
 	var execMu sync.Mutex
 	srv.Register(testProg, testVers, func(call *Call) AcceptStat {
-		if call.Proc != procEcho {
+		switch call.Proc {
+		case procEcho:
+		case procEchoIdempotent:
+			call.Idempotent = true
+		case procSlowEchoIdempotent:
+			call.Idempotent = true
+			clk.Sleep(slowEchoDelay)
+		default:
 			return ProcUnavail
 		}
 		execMu.Lock()

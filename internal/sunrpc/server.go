@@ -183,7 +183,9 @@ type drcEntry struct {
 // turns those duplicates into replays of the original reply (or silence
 // while the original is still executing) instead of re-executed handlers,
 // which is what makes non-idempotent procedures — REMOVE, RENAME, CREATE,
-// the GETINV queue drain, callback recalls — safe under message loss.
+// the GETINV queue drain, callback recalls — safe under message loss. Only
+// those replies are kept: a call its dispatch function marks Idempotent holds
+// an entry just while it executes (see sendReply).
 type drc struct {
 	mu      sync.Mutex
 	max     int
@@ -226,9 +228,11 @@ func (d *drc) begin(xid uint32) {
 	}
 }
 
-// remove forgets xid entirely — used when the scheduler sheds a queued
+// remove forgets xid entirely. The scheduler uses it when it sheds a queued
 // request after begin: the shed reply must leave no trace so the client's
-// retransmission under the same XID executes the handler (exactly once).
+// retransmission under the same XID executes the handler (exactly once). The
+// server uses it once an idempotent call's reply is sent. The search runs from
+// the newest entry, where the XID being removed almost always sits.
 func (d *drc) remove(xid uint32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -236,8 +240,8 @@ func (d *drc) remove(xid uint32) {
 		return
 	}
 	delete(d.entries, xid)
-	for i, x := range d.order {
-		if x == xid {
+	for i := len(d.order) - 1; i >= 0; i-- {
+		if d.order[i] == xid {
 			d.order = append(d.order[:i], d.order[i+1:]...)
 			break
 		}
@@ -279,8 +283,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 			continue
 		}
 		// The frame is recycled once the request reaches its terminal state:
-		// replayed here, shed, or handled. Client connections never recycle —
-		// see parsedMsg.raw.
+		// replayed here, shed, or handled.
 		m.raw = raw
 		if cache != nil {
 			if e := cache.lookup(m.xid); e != nil {
@@ -359,18 +362,23 @@ func (s *Server) reply(conn transport.Conn, cache *drc, xid uint32, stat AcceptS
 	conn.Send(raw)
 }
 
-// sendReply records and sends reply bytes that alias a pooled encoder. The
-// DRC must own its replay bytes outright — the encoder is recycled as soon as
-// the caller returns — so it stores a copy, never the alias. Recording still
-// happens before Send so a retransmission racing the reply replays identical
-// bytes.
-func (s *Server) sendReply(conn transport.Conn, cache *drc, xid uint32, raw []byte) {
-	if cache != nil {
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		cache.complete(xid, cp)
+// sendReply sends reply bytes that alias a pooled encoder. An idempotent
+// call's reply goes out as is and its DRC entry is dropped once it is sent: a
+// later retransmission re-executes, which is harmless, so the cache neither
+// copies nor holds its bytes. Any other reply is recorded first — as a copy,
+// since the encoder is recycled as soon as the caller returns — so a
+// retransmission racing the reply still replays identical bytes.
+func (s *Server) sendReply(conn transport.Conn, cache *drc, xid uint32, raw []byte, idempotent bool) {
+	switch {
+	case cache == nil:
+		conn.Send(raw)
+	case idempotent:
+		conn.Send(raw)
+		cache.remove(xid)
+	default:
+		cache.complete(xid, append([]byte(nil), raw...))
+		conn.Send(raw)
 	}
-	conn.Send(raw)
 }
 
 // handle executes one admitted request. yield is the scheduler's slot-park
@@ -443,7 +451,7 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 		}
 		node.Record(sp)
 	}
-	s.sendReply(conn, cache, m.xid, enc.Bytes())
+	s.sendReply(conn, cache, m.xid, enc.Bytes(), call.Idempotent)
 	bufpool.PutEncoder(enc)
 	m.recycleFrame()
 }

@@ -149,6 +149,14 @@ type Call struct {
 	// for trace strings only when someone is recording them.
 	Traced bool
 
+	// Idempotent is set by a dispatch function when executing this call
+	// again would be harmless (a pure read of server state). The server then
+	// sends the reply straight from its pooled encoder and forgets the XID
+	// once the reply is out, instead of copying the reply into the
+	// duplicate-request cache: a later retransmission simply re-executes. A
+	// duplicate arriving while the call still runs is dropped either way.
+	Idempotent bool
+
 	// Span annotations. A dispatch function may fill these in so the
 	// server's tracer records a richer serve span (file handle, cache
 	// hit/miss detail, payload size) without the RPC layer understanding
@@ -265,9 +273,8 @@ type parsedMsg struct {
 	body *xdr.Decoder
 	// raw is the received frame body aliases. Servers recycle it to the
 	// buffer pool once the request reaches its terminal state (handled,
-	// shed, or discarded); clients leave it nil — a completed reply's body
-	// escapes to the caller, so the demux recycles only frames no caller
-	// will ever see (garbage, shed retries, duplicate replies).
+	// shed, or discarded). Clients leave it nil: the demux copies a reply
+	// body out and recycles the frame before the caller ever sees it.
 	raw []byte
 }
 

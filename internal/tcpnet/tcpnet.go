@@ -100,8 +100,9 @@ func (c *conn) Recv() ([]byte, error) {
 	if n > MaxMessage {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	// Frames come from the shared pool; the RPC server recycles them once a
-	// request is terminal, while client-received frames stay with the caller.
+	// Frames come from the shared pool; the receiver recycles each one (the
+	// RPC server once a request is terminal, the RPC client once it has
+	// copied the reply body out).
 	buf := bufpool.Get(int(n))
 	if _, err := io.ReadFull(c.nc, buf); err != nil {
 		bufpool.Put(buf)

@@ -147,6 +147,24 @@ func (c *Clock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	c.waitFor(d, fmt.Sprintf("sleep %v", d))
+}
+
+// Yield blocks the calling actor until every other actor runnable at the
+// current virtual instant has blocked, then resumes it at the same instant.
+// An actor woken as a side effect of another actor's step — a connection
+// Close failing its pending calls, say — runs concurrently with that actor;
+// yielding puts its next step after the other's in every run, so same-seed
+// simulations stay identical. In real mode Yield returns immediately.
+func (c *Clock) Yield() {
+	if c.virtual {
+		c.waitFor(0, "yield")
+	}
+}
+
+// waitFor blocks the calling actor on a virtual timer d from now. A zero d
+// still waits: timers fire only once every runnable actor has blocked.
+func (c *Clock) waitFor(d time.Duration, label string) {
 	w := c.NewWaiter()
 	c.mu.Lock()
 	if c.stopped {
@@ -155,7 +173,7 @@ func (c *Clock) Sleep(d time.Duration) {
 	}
 	c.scheduleLocked(c.now+d, nil, w)
 	c.mu.Unlock()
-	c.WaitAs(w, fmt.Sprintf("sleep %v", d))
+	c.WaitAs(w, label)
 }
 
 // Timer is a cancelable scheduled callback created by AfterFunc.

@@ -122,6 +122,43 @@ func TestWaiterCrossActor(t *testing.T) {
 	}
 }
 
+// TestYieldRunsAfterSameInstantActors checks that a yielding actor resumes
+// only once the actor that woke it has blocked, and at the same instant —
+// even when the waker is slow in real time.
+func TestYieldRunsAfterSameInstantActors(t *testing.T) {
+	c := NewVirtual()
+	var mu sync.Mutex
+	var order []string
+	record := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	w := c.NewWaiter()
+	done := make(chan time.Duration, 1)
+	c.Go("woken", func() {
+		c.Wait(w)
+		c.Yield()
+		record("woken")
+		done <- c.Now()
+	})
+	c.Go("waker", func() {
+		c.Sleep(time.Millisecond)
+		w.Wake()
+		time.Sleep(10 * time.Millisecond) // real time only: still the same instant
+		record("waker")
+		c.Sleep(time.Millisecond)
+	})
+	if got := <-done; got != time.Millisecond {
+		t.Fatalf("yielder resumed at %v, want 1ms", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 2 || order[0] != "waker" || order[1] != "woken" {
+		t.Fatalf("order = %v, want [waker woken]", order)
+	}
+}
+
 func TestMailboxPutGet(t *testing.T) {
 	c := NewVirtual()
 	m := NewMailbox[int](c)

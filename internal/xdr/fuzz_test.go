@@ -7,8 +7,10 @@ import (
 
 // FuzzDecoder drives every decoder primitive over arbitrary input. The
 // invariants under test: no panic, no allocation sized by a wire-supplied
-// length beyond the declared bound, OpaqueRef aliases (never copies) the
-// input, and a successful Opaque/OpaqueRef pair agree byte for byte.
+// length beyond the declared bound, OpaqueRef and RestRef alias (never copy)
+// the input, a successful Opaque/OpaqueRef pair agree byte for byte, and
+// RestRef returns exactly the unread tail, capped so an append cannot write
+// into the frame.
 func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 'a', 'b', 'c', 'd'})
@@ -47,6 +49,27 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatal("OpaqueRef copied instead of aliasing")
 				}
 			}
+		}
+
+		// RestRef after a leading word: the tail in place, nothing left.
+		d = NewDecoder(data)
+		_, _ = d.Uint32()
+		off := len(data) - d.Remaining()
+		rest := d.RestRef()
+		if !bytes.Equal(rest, data[off:]) {
+			t.Fatal("RestRef is not the unread tail")
+		}
+		if d.Remaining() != 0 {
+			t.Fatalf("RestRef left %d bytes unread", d.Remaining())
+		}
+		if cap(rest) != len(rest) {
+			t.Fatalf("RestRef cap %d exceeds its len %d", cap(rest), len(rest))
+		}
+		if len(rest) > 0 && &rest[0] != &data[off] {
+			t.Fatal("RestRef copied instead of aliasing")
+		}
+		if len(d.RestRef()) != 0 {
+			t.Fatal("a second RestRef returned bytes")
 		}
 
 		// The scalar/string decoders must simply never panic and never read

@@ -192,6 +192,17 @@ func (d *Decoder) OpaqueRef(maxLen uint32) ([]byte, error) {
 	return out, nil
 }
 
+// RestRef consumes every unread byte and returns them as a slice that ALIASES
+// the decoder's underlying buffer — no copy is made. Callers must either
+// consume the bytes before the buffer is recycled or copy them out; it exists
+// for forwarding paths that relay a message tail verbatim into another
+// encoder.
+func (d *Decoder) RestRef() []byte {
+	out := d.buf[d.off:len(d.buf):len(d.buf)]
+	d.off = len(d.buf)
+	return out
+}
+
 // FixedOpaque decodes n bytes plus padding. The returned slice is a copy.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if n < 0 || d.Remaining() < n {
