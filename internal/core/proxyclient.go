@@ -1052,8 +1052,9 @@ func (p *ProxyClient) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	// span labels exactly when a retained record will carry them.
 	call.Traced = p.node.Tracing()
 	// A pure read re-executes harmlessly, so its reply skips the kernel-facing
-	// DRC. The WAN-facing proxy server marks nothing: its READ and GETATTR
-	// replies carry delegation grants, which a retransmission must replay.
+	// DRC. The WAN-facing proxy server marks pure reads only under polling:
+	// under delegation its READ and GETATTR replies carry grants, which a
+	// retransmission must replay.
 	call.Idempotent = nfs3.Idempotent(call.Proc)
 	if !call.Traced {
 		return p.serveNFS(call)

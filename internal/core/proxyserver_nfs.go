@@ -57,6 +57,11 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	// (if the server runs a bounded pool) so parked requests don't starve it.
 	call.Yield(s.waitGrace)
 	client := s.ensureClient(call.Cred)
+	// Under polling a pure read's trailer is always DelegNone/Cacheable and
+	// it queues no invalidation, so re-executing it is harmless and its
+	// reply (a 32 KiB READ's included) skips the DRC copy. Delegation
+	// replies carry grants, which a retransmission must replay.
+	call.Idempotent = s.cfg.Model == ModelPolling && nfs3.Idempotent(call.Proc)
 
 	argBytes := call.Args.RestRef()
 	info, ok := s.inspect(call.ReqID, call.Proc, argBytes)

@@ -12,7 +12,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/transport"
 )
 
@@ -28,6 +30,8 @@ type Conn struct {
 	inner transport.Conn
 	aead  cipher.AEAD
 
+	// sendMu keeps concurrent Sends' nonces in wire order.
+	sendMu  sync.Mutex
 	sendSeq uint64
 	recvSeq uint64
 	// role disambiguates the two directions' nonce spaces.
@@ -66,16 +70,24 @@ func nonce(role byte, seq uint64, size int) []byte {
 	return n
 }
 
-// Send seals and transmits one message.
+// Send seals and transmits one message. The sealed copy lives in a pooled
+// buffer that is recycled once the inner Send returns (which retains
+// nothing).
 func (c *Conn) Send(msg []byte) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	n := nonce(c.sendRole, c.sendSeq, c.aead.NonceSize())
 	c.sendSeq++
-	sealed := c.aead.Seal(nil, n, msg, nil)
-	return c.inner.Send(sealed)
+	sealed := c.aead.Seal(bufpool.Get(len(msg) + c.aead.Overhead())[:0], n, msg, nil)
+	err := c.inner.Send(sealed)
+	bufpool.Put(sealed)
+	return err
 }
 
 // Recv receives and opens one message. Tampered or replayed frames fail
-// authentication and surface as errors.
+// authentication and surface as errors. The frame is opened in place, so
+// the inner transport's pooled frame passes on to the caller, who recycles
+// it as it would a plain frame.
 func (c *Conn) Recv() ([]byte, error) {
 	sealed, err := c.inner.Recv()
 	if err != nil {
@@ -83,8 +95,9 @@ func (c *Conn) Recv() ([]byte, error) {
 	}
 	n := nonce(c.recvRole, c.recvSeq, c.aead.NonceSize())
 	c.recvSeq++
-	msg, err := c.aead.Open(nil, n, sealed, nil)
+	msg, err := c.aead.Open(sealed[:0], n, sealed, nil)
 	if err != nil {
+		bufpool.Put(sealed)
 		return nil, fmt.Errorf("secure: authentication failed (tampered or out-of-order frame): %w", err)
 	}
 	return msg, nil

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/simnet"
+	"repro/internal/tcpnet"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -127,14 +129,85 @@ func TestReplayRejected(t *testing.T) {
 	frame0 := append([]byte(nil), capC.sent...)
 
 	// Server that receives frame0 twice: the second must fail (nonce
-	// counter advanced).
-	replay := &replayConn{frames: [][]byte{frame0, frame0}}
+	// counter advanced). Recv opens in place, overwriting the frame it was
+	// handed, so each delivery gets its own copy.
+	replay := &replayConn{frames: [][]byte{frame0, append([]byte(nil), frame0...)}}
 	s, _ := Server(replay, key)
 	if _, err := s.Recv(); err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
 	if _, err := s.Recv(); err == nil {
 		t.Fatal("replayed frame accepted")
+	}
+}
+
+// TestSealedFramesRecycledOverTCP checks pool ownership through the sealed
+// channel on a real connection: Send recycles its sealed copy, and Recv
+// hands the inner transport's pooled frame on to the caller, who recycles
+// it. Round trips therefore leave bufpool.Outstanding where it started.
+func TestSealedFramesRecycledOverTCP(t *testing.T) {
+	const n = 500
+	key := KeyFromSession("pool")
+	var tn tcpnet.Net
+	inner, err := tn.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	l := NewListener(inner, key)
+	defer l.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c.Close()
+		for {
+			msg, err := c.Recv()
+			if err != nil {
+				done <- nil
+				return
+			}
+			err = c.Send(msg)
+			bufpool.Put(msg)
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+
+	raw, err := tn.Dial(l.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	c, err := Client(raw, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bufpool.Outstanding()
+	for i := 0; i < n; i++ {
+		want := bytes.Repeat([]byte{byte(i)}, 100+i*7)
+		if err := c.Send(want); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round trip %d: echo mismatch", i)
+		}
+		bufpool.Put(got)
+	}
+	c.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	if d := bufpool.Outstanding() - base; d != 0 {
+		t.Errorf("%d pool buffers still outstanding after %d sealed round trips, want 0", d, n)
 	}
 }
 

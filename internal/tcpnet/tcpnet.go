@@ -5,6 +5,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,42 +62,64 @@ func (l *listener) Accept() (transport.Conn, error) {
 func (l *listener) Close() error { return l.nl.Close() }
 func (l *listener) Addr() string { return l.nl.Addr().String() }
 
+// readBufSize is the per-connection receive buffer. It holds a record mark
+// plus a small body (and often the next frame's mark), so small frames cost
+// one read(2); bodies at least this large bypass it (see Recv).
+const readBufSize = 4 << 10
+
 type conn struct {
 	nc net.Conn
 
+	// sendMu serialises frames on the wire and guards the reused record
+	// mark and writev vector: out is a view of vec, which no longer refers
+	// to the message once Send returns.
 	sendMu sync.Mutex
-	recvMu sync.Mutex
+	hdr    [4]byte
+	vec    [2][]byte
+	out    net.Buffers
+
+	recvMu  sync.Mutex
+	recvHdr [4]byte
+	br      *bufio.Reader
 }
 
 var _ transport.Conn = (*conn)(nil)
 
-func newConn(nc net.Conn) *conn { return &conn{nc: nc} }
+func newConn(nc net.Conn) *conn {
+	return &conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
+}
 
+// Send writes the record mark and the body with one writev.
 func (c *conn) Send(msg []byte) error {
 	if len(msg) > MaxMessage {
 		return fmt.Errorf("tcpnet: message of %d bytes exceeds limit", len(msg))
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return mapErr(err)
-	}
-	if _, err := c.nc.Write(msg); err != nil {
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg)))
+	c.vec = [2][]byte{c.hdr[:], msg}
+	c.out = c.vec[:]
+	_, err := c.out.WriteTo(c.nc)
+	// WriteTo clears each entry it writes; one it stopped short of on an
+	// error would still alias msg.
+	c.vec = [2][]byte{}
+	if err != nil {
 		return mapErr(err)
 	}
 	return nil
 }
 
+// Recv reads one frame through the connection's buffer. The mark and a
+// small body usually arrive in one read; a body too large for the buffer is
+// read straight into the pooled frame once the buffered bytes are drained,
+// so a 32 KiB READ reply is not copied through the buffer.
 func (c *conn) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.recvHdr[:]); err != nil {
 		return nil, mapErr(err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.recvHdr[:])
 	if n > MaxMessage {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
@@ -104,7 +127,7 @@ func (c *conn) Recv() ([]byte, error) {
 	// RPC server once a request is terminal, the RPC client once it has
 	// copied the reply body out).
 	buf := bufpool.Get(int(n))
-	if _, err := io.ReadFull(c.nc, buf); err != nil {
+	if _, err := io.ReadFull(c.br, buf); err != nil {
 		bufpool.Put(buf)
 		return nil, mapErr(err)
 	}
